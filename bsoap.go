@@ -34,9 +34,11 @@
 //
 // # Server side
 //
-// The server, soapdec and diffdeser internal packages implement the
-// receiving end, including the paper's future-work differential
-// deserialization; see the examples directory for complete services.
+// The serverpool, soapdec and diffdeser internal packages implement the
+// receiving end: serverpool.Runtime dispatches each request on a
+// per-connection replica with its own differential deserializer (the
+// paper's future work) and differential response stub. See the
+// examples directory for complete services.
 package bsoap
 
 import (

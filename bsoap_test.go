@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"bsoap"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -140,21 +140,23 @@ func TestPoolFacade(t *testing.T) {
 // arrive.
 func TestEndToEndOverlayStreaming(t *testing.T) {
 	var lastSum atomic.Value
-	endpoint := server.New(server.Options{})
-	resp := wire.NewMessage("urn:calc", "sumResponse")
-	total := resp.AddDouble("total", 0)
+	endpoint := serverpool.New(serverpool.Options{})
 	endpoint.Register(&soapdec.Schema{
 		Namespace: "urn:calc",
 		Op:        "sum",
 		Params:    []soapdec.ParamSpec{{Name: "values", Type: wire.ArrayOf(wire.TDouble)}},
-	}, func(req *wire.Message) (*wire.Message, error) {
-		var s float64
-		for i := 0; i < req.NumLeaves(); i++ {
-			s += req.LeafDouble(i)
+	}, func() serverpool.Handler {
+		resp := wire.NewMessage("urn:calc", "sumResponse")
+		total := resp.AddDouble("total", 0)
+		return func(req *wire.Message) (*wire.Message, error) {
+			var s float64
+			for i := 0; i < req.NumLeaves(); i++ {
+				s += req.LeafDouble(i)
+			}
+			lastSum.Store(s)
+			total.Set(s)
+			return resp, nil
 		}
-		lastSum.Store(s)
-		total.Set(s)
-		return resp, nil
 	})
 
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{

@@ -46,6 +46,42 @@ lru_guard() {
 }
 lru_guard
 
+# One-of-each guard: each merged mechanism keeps its single copy. The
+# power-of-two bucket math lives only in the one latency histogram
+# (internal/trace/hist.go); the deleted rpc client package and the
+# retired single-mutex server endpoint (server.New) must not return.
+one_of_each_guard() {
+    offenders=$(grep -rl 'bits\.Len64' --include='*.go' . \
+        | grep -v '^\./internal/trace/hist\.go$' || true)
+    if [ -n "$offenders" ]; then
+        echo "one-of-each guard: power-of-two bucket math outside internal/trace/hist.go:" >&2
+        echo "$offenders" >&2
+        exit 1
+    fi
+    offenders=$(grep -rlE '^package rpc(_test)?$' --include='*.go' . || true)
+    if [ -n "$offenders" ]; then
+        echo "one-of-each guard: a second client call path (package rpc) is back:" >&2
+        echo "$offenders" >&2
+        exit 1
+    fi
+    offenders=$(grep -rlE '(^|[^A-Za-z0-9_])server\.New\(' --include='*.go' . || true)
+    if [ -n "$offenders" ]; then
+        echo "one-of-each guard: server.New caller (use serverpool.New):" >&2
+        echo "$offenders" >&2
+        exit 1
+    fi
+    echo "check.sh: one-of-each guard ok"
+}
+one_of_each_guard
+
+# Example smoke: short runs of the paper's application examples, so
+# their client/server wiring is exercised, not just compiled. Each
+# example exits nonzero on any failed call.
+for ex in "condor -machines 50 -rounds 3" "mcs -files 20" "webindex -queries 5"; do
+    go run ./examples/$ex > /dev/null
+done
+echo "check.sh: example smoke ok"
+
 # Allocation gates: AllocsPerRun is unreliable under the race detector
 # (instrumentation allocates), so the steady-state zero-alloc contract
 # gets its own plain run — twice: once with the flight recorder off and

@@ -15,7 +15,7 @@ import (
 
 	"bsoap"
 	"bsoap/internal/classad"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -30,9 +30,7 @@ func main() {
 	flag.Parse()
 
 	// The flock collector: receives updates, acks with the ad count.
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
-	resp := wire.NewMessage(classad.Namespace, "flockUpdateResponse")
-	accepted := resp.AddInt("accepted", 0)
+	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
 	endpoint.Register(&soapdec.Schema{
 		Namespace: classad.Namespace,
 		Op:        "flockUpdate",
@@ -40,13 +38,17 @@ func main() {
 			{Name: "pool", Type: wire.TString},
 			{Name: "ads", Type: wire.ArrayOf(classad.AdType())},
 		},
-	}, func(req *wire.Message) (*wire.Message, error) {
-		_, ads, err := classad.DecodeAds(req)
-		if err != nil {
-			return nil, err
+	}, func() serverpool.Handler {
+		resp := wire.NewMessage(classad.Namespace, "flockUpdateResponse")
+		accepted := resp.AddInt("accepted", 0)
+		return func(req *wire.Message) (*wire.Message, error) {
+			_, ads, err := classad.DecodeAds(req)
+			if err != nil {
+				return nil, err
+			}
+			accepted.Set(int32(len(ads)))
+			return resp, nil
 		}
-		accepted.Set(int32(len(ads)))
-		return resp, nil
 	})
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 		Handler: endpoint.HTTPHandler(),

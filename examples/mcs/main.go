@@ -11,43 +11,23 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 
 	"bsoap"
 	"bsoap/internal/mcs"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/transport"
 )
-
-// rpcSink adapts a Sender's round-trip path so stub.Call both sends the
-// request and collects the response body.
-type rpcSink struct {
-	sender *transport.Sender
-	last   []byte
-}
-
-func (r *rpcSink) Send(bufs net.Buffers) error {
-	resp, err := r.sender.Roundtrip(bufs)
-	if err != nil {
-		return err
-	}
-	if resp.Status != 200 {
-		return fmt.Errorf("server returned %d: %s", resp.Status, resp.Body)
-	}
-	r.last = resp.Body
-	return nil
-}
 
 func main() {
 	files := flag.Int("files", 200, "files to register")
 	flag.Parse()
 
-	// Server: in-memory catalog behind a SOAP endpoint with
+	// Server: in-memory catalog behind the serverpool runtime with
 	// differential deserialization.
 	schema := []string{"owner", "experiment", "format", "site"}
 	catalog := mcs.NewCatalog(schema)
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
-	mcs.Bind(endpoint, catalog)
+	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
+	mcs.BindRuntime(endpoint, catalog)
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
 		Handler: endpoint.HTTPHandler(),
 		Respond: true,
@@ -58,12 +38,11 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("MCS serving on %s (schema: %v)\n\n", srv.Addr(), schema)
 
-	sender, err := bsoap.Dial(srv.Addr(), bsoap.SenderOptions{})
+	sender, err := bsoap.Dial(srv.Addr(), bsoap.SenderOptions{ExpectResponse: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sender.Close()
-	sink := &rpcSink{sender: sender}
 
 	// The client reuses ONE add message for every registration; since
 	// values are padded to stable shapes by the schema, each request is
@@ -75,7 +54,7 @@ func main() {
 	addMsg := bsoap.NewMessage(mcs.Namespace, "mcsAdd")
 	name := addMsg.AddString("logicalName", "")
 	vals := addMsg.AddStringArray("values", len(schema))
-	stub := bsoap.NewStub(bsoap.Config{}, sink)
+	stub := bsoap.NewStub(bsoap.Config{}, sender)
 
 	for i := 0; i < *files; i++ {
 		name.Set(fmt.Sprintf("run-%06d.dat", i))

@@ -16,12 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"sort"
 	"strings"
 
 	"bsoap"
-	"bsoap/internal/server"
+	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -75,24 +74,6 @@ func search(query string) (titles []string, scores []float64) {
 	return titles, scores
 }
 
-// rpcSink performs request/response round trips through the stub.
-type rpcSink struct {
-	sender *transport.Sender
-	last   []byte
-}
-
-func (r *rpcSink) Send(bufs net.Buffers) error {
-	resp, err := r.sender.Roundtrip(bufs)
-	if err != nil {
-		return err
-	}
-	if resp.Status != 200 {
-		return fmt.Errorf("server returned %d: %s", resp.Status, resp.Body)
-	}
-	r.last = resp.Body
-	return nil
-}
-
 func main() {
 	queries := flag.Int("queries", 30, "number of search queries to issue")
 	flag.Parse()
@@ -106,27 +87,30 @@ func main() {
 			{Name: "maxResults", Type: wire.TInt},
 		},
 	}
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
+	endpoint := serverpool.New(serverpool.Options{DifferentialDeserialization: true})
 
-	// One response message reused for every query: fixed page shape.
-	resp := wire.NewMessage("urn:webindex", "searchResponse")
-	total := resp.AddInt("total", 0)
-	titles := resp.AddStringArray("titles", pageSize)
-	scores := resp.AddDoubleArray("scores", pageSize)
-	endpoint.Register(searchSchema, func(req *wire.Message) (*wire.Message, error) {
-		q := req.LeafString(0)
-		ts, ss := search(q)
-		total.Set(int32(len(ts)))
-		for i := 0; i < pageSize; i++ {
-			if i < len(ts) {
-				titles.Set(i, ts[i])
-				scores.Set(i, ss[i])
-			} else {
-				titles.Set(i, "")
-				scores.Set(i, 0)
+	// Each replica reuses one response message for every query: fixed
+	// page shape.
+	endpoint.Register(searchSchema, func() serverpool.Handler {
+		resp := wire.NewMessage("urn:webindex", "searchResponse")
+		total := resp.AddInt("total", 0)
+		titles := resp.AddStringArray("titles", pageSize)
+		scores := resp.AddDoubleArray("scores", pageSize)
+		return func(req *wire.Message) (*wire.Message, error) {
+			q := req.LeafString(0)
+			ts, ss := search(q)
+			total.Set(int32(len(ts)))
+			for i := 0; i < pageSize; i++ {
+				if i < len(ts) {
+					titles.Set(i, ts[i])
+					scores.Set(i, ss[i])
+				} else {
+					titles.Set(i, "")
+					scores.Set(i, 0)
+				}
 			}
+			return resp, nil
 		}
-		return resp, nil
 	})
 
 	srv, err := transport.Listen("127.0.0.1:0", transport.ServerOptions{
@@ -175,13 +159,12 @@ func main() {
 		}
 	}
 
-	sender, err := bsoap.Dial(srv.Addr(), bsoap.SenderOptions{})
+	sender, err := bsoap.Dial(srv.Addr(), bsoap.SenderOptions{ExpectResponse: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sender.Close()
-	sink := &rpcSink{sender: sender}
-	stub := bsoap.NewStub(bsoap.Config{}, sink)
+	stub := bsoap.NewStub(bsoap.Config{}, sender)
 
 	words := []string{"mesh", "grid", "soap", "xml", "chunk", "field", "match", "tag"}
 	for i := 0; i < *queries; i++ {
@@ -203,7 +186,7 @@ func main() {
 	fmt.Printf("server responses: %d first-time, %d structural, %d partial, %d content matches\n",
 		rs.FirstTimeSends, rs.StructuralMatches, rs.PartialMatches, rs.ContentMatches)
 	fmt.Printf("server response values re-serialized: %d (vs %d if fully serialized each time)\n",
-		rs.ValuesRewritten, rs.Calls*int64(resp.NumLeaves()))
+		rs.ValuesRewritten, rs.Calls*(1+2*pageSize)) // leaves: total, titles, scores
 	ss := endpoint.Stats()
 	fmt.Printf("server request decodes: %d full, %d differential\n", ss.FullParses, ss.DiffDecodes)
 }

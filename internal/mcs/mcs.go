@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"bsoap/internal/server"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/wire"
@@ -189,8 +188,8 @@ func DeleteSchema() *soapdec.Schema {
 
 // addFactory builds an mcsAdd handler with its own reused response
 // message (fixed shape → structural matches on the response stub).
-func addFactory(c *Catalog) func() server.Handler {
-	return func() server.Handler {
+func addFactory(c *Catalog) serverpool.HandlerFactory {
+	return func() serverpool.Handler {
 		addResp := wire.NewMessage(Namespace, "mcsAddResponse")
 		addOK := addResp.AddBool("ok", true)
 		return func(req *wire.Message) (*wire.Message, error) {
@@ -211,8 +210,8 @@ func addFactory(c *Catalog) func() server.Handler {
 
 // queryFactory builds an mcsQuery handler with its own padded response
 // page.
-func queryFactory(c *Catalog) func() server.Handler {
-	return func() server.Handler {
+func queryFactory(c *Catalog) serverpool.HandlerFactory {
+	return func() serverpool.Handler {
 		queryResp := wire.NewMessage(Namespace, "mcsQueryResponse")
 		count := queryResp.AddInt("count", 0)
 		page := queryResp.AddStringArray("names", QueryPageSize)
@@ -235,8 +234,8 @@ func queryFactory(c *Catalog) func() server.Handler {
 }
 
 // deleteFactory builds an mcsDelete handler.
-func deleteFactory(c *Catalog) func() server.Handler {
-	return func() server.Handler {
+func deleteFactory(c *Catalog) serverpool.HandlerFactory {
+	return func() serverpool.Handler {
 		delResp := wire.NewMessage(Namespace, "mcsDeleteResponse")
 		existed := delResp.AddBool("existed", false)
 		return func(req *wire.Message) (*wire.Message, error) {
@@ -244,15 +243,6 @@ func deleteFactory(c *Catalog) func() server.Handler {
 			return delResp, nil
 		}
 	}
-}
-
-// Bind registers the MCS operations on a single-lock SOAP endpoint.
-// Responses reuse fixed-shape message objects so the endpoint's
-// differential response stub gets structural matches.
-func Bind(ep *server.SOAP, c *Catalog) {
-	ep.Register(AddSchema(), addFactory(c)())
-	ep.Register(QuerySchema(), queryFactory(c)())
-	ep.Register(DeleteSchema(), deleteFactory(c)())
 }
 
 // BindRuntime registers the MCS operations on the concurrent serverpool

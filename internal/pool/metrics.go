@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"net"
 	"net/http"
 	"sync/atomic"
@@ -104,7 +102,10 @@ type Metrics struct {
 	// exposed as bsoap_client_stage_seconds.
 	Stages trace.StageHist
 
-	lat histogram
+	// lat is the successful-call latency histogram; latMax sits next
+	// to it so the per-stage histograms carry no max of their own.
+	lat    trace.Histogram
+	latMax atomic.Int64
 }
 
 // NewMetrics returns an empty registry.
@@ -140,7 +141,13 @@ func (m *Metrics) RecordCall(ci core.CallInfo, err error, d time.Duration) {
 	if k := int(ci.Match); k >= 0 && k < len(m.matches) {
 		m.matches[k].Add(1)
 	}
-	m.lat.observe(d)
+	m.lat.Observe(int64(d))
+	for {
+		cur := m.latMax.Load()
+		if int64(d) <= cur || m.latMax.CompareAndSwap(cur, int64(d)) {
+			break
+		}
+	}
 	if ci.Degraded && ci.Match == core.FirstTime {
 		m.degradedFTS.Add(1)
 	}
@@ -293,9 +300,9 @@ type Stats struct {
 
 	// LatencyBuckets are the histogram's raw power-of-two buckets:
 	// bucket i counts observations whose latency in nanoseconds lies in
-	// [2^(i-1), 2^i). Both the Prometheus exposition and offline
-	// analysis derive their views from these; the quantile fields above
-	// are convenience summaries.
+	// (2^(i-1), 2^i] (see trace.Histogram). Both the Prometheus
+	// exposition and offline analysis derive their views from these;
+	// the quantile fields above are convenience summaries.
 	LatencyBuckets []int64 `json:"latency_buckets"`
 	// LatencyCount and LatencySumNs are the histogram's total
 	// observation count and nanosecond sum (mean = sum/count).
@@ -361,15 +368,15 @@ func (m *Metrics) Snapshot() Stats {
 		FuturesPending: m.futuresPending.Load(),
 		PipelineStalls: m.pipelineStalls.Load(),
 
-		LatencyP50: m.lat.quantile(0.50),
-		LatencyP90: m.lat.quantile(0.90),
-		LatencyP99: m.lat.quantile(0.99),
-		LatencyMax: time.Duration(m.lat.max.Load()),
+		LatencyP50: m.latQuantile(0.50),
+		LatencyP90: m.latQuantile(0.90),
+		LatencyP99: m.latQuantile(0.99),
+		LatencyMax: time.Duration(m.latMax.Load()),
 
-		LatencyBuckets: m.lat.bucketCounts(),
-		LatencyCount:   m.lat.count.Load(),
-		LatencySumNs:   m.lat.sum.Load(),
+		LatencyBuckets: make([]int64, trace.HistBuckets),
+		LatencySumNs:   m.lat.Sum(),
 	}
+	s.LatencyCount = m.lat.Buckets(s.LatencyBuckets)
 	if f := m.faultSource.Load(); f != nil {
 		s.FaultsInjected = (*f)()
 	}
@@ -463,12 +470,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	p.Gauge("bsoap_client_pipeline_depth", "Configured per-connection in-flight bound (0 = serial).", s.PipelineDepth)
 	p.Gauge("bsoap_client_futures_pending", "Requests submitted but not yet resolved.", s.FuturesPending)
 
-	uppers := make([]float64, len(s.LatencyBuckets))
-	for i := range uppers {
-		uppers[i] = float64(uint64(1)<<uint(i)) / 1e9
-	}
 	p.Histogram("bsoap_client_call_latency_seconds", "Successful call latency (power-of-two buckets).",
-		uppers, s.LatencyBuckets, float64(s.LatencySumNs)/1e9, s.LatencyCount)
+		trace.HistUppers(), s.LatencyBuckets, float64(s.LatencySumNs)/1e9, s.LatencyCount)
 
 	p.HistogramWithLabel("bsoap_client_stage_seconds",
 		"Client-side per-call latency attribution by pipeline stage.", "stage",
@@ -504,73 +507,9 @@ func (m *Metrics) PrometheusHandler() http.Handler {
 	})
 }
 
-// histogram tracks latencies in power-of-two nanosecond buckets: bucket
-// i holds observations in [2^(i-1), 2^i). 40 buckets cover ~18 minutes.
-type histogram struct {
-	buckets [40]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// bucketCounts copies the raw bucket counters out.
-func (h *histogram) bucketCounts() []int64 {
-	out := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
-// quantile returns an upper bound for the q-quantile (the top of the
-// bucket the quantile falls in), good to a factor of two — enough to
-// tell microseconds from milliseconds in a report. The rank is the
-// ceiling of q×count: the observation at or above which a fraction q of
-// all observations lie, so q=0.99 over 10 observations selects the 10th
-// (truncating would select the 9th — a bucket below the true quantile).
-func (h *histogram) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	max := h.max.Load()
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			ub := int64(1) << uint(i)
-			if ub > max {
-				ub = max // never report a quantile above the observed max
-			}
-			return time.Duration(ub)
-		}
-	}
-	return time.Duration(max)
+// latQuantile is the latency histogram's q-quantile bucket bound,
+// clamped to the observed max so a report never shows a quantile above
+// the slowest call.
+func (m *Metrics) latQuantile(q float64) time.Duration {
+	return time.Duration(min(m.lat.Quantile(q), m.latMax.Load()))
 }

@@ -77,24 +77,27 @@ func TestRecordCallFailure(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantileRank pins the ceiling rank: q=0.99 over 10
-// observations must select the 10th (the lone slow one), not truncate to
-// the 9th and report a bucket below the true quantile.
+// TestHistogramQuantileRank pins the ceiling rank through the pool's
+// snapshot: q=0.99 over 10 observations must select the 10th (the lone
+// slow one), not truncate to the 9th and report a bucket below the true
+// quantile.
 func TestHistogramQuantileRank(t *testing.T) {
-	var h histogram
+	m := NewMetrics()
+	ok := core.CallInfo{Match: core.ContentMatch}
 	for i := 0; i < 9; i++ {
-		h.observe(1 * time.Microsecond)
+		m.RecordCall(ok, nil, time.Microsecond)
 	}
-	h.observe(100 * time.Millisecond)
+	m.RecordCall(ok, nil, 100*time.Millisecond)
 
-	if p99 := h.quantile(0.99); p99 < 100*time.Millisecond {
-		t.Errorf("p99 = %v, want >= 100ms (rank must be ceil(0.99*10)=10)", p99)
+	s := m.Snapshot()
+	if s.LatencyP99 < 100*time.Millisecond {
+		t.Errorf("p99 = %v, want >= 100ms (rank must be ceil(0.99*10)=10)", s.LatencyP99)
 	}
-	if p50 := h.quantile(0.50); p50 > 10*time.Microsecond {
-		t.Errorf("p50 = %v, want within the fast bucket", p50)
+	if s.LatencyP50 > 10*time.Microsecond {
+		t.Errorf("p50 = %v, want within the fast bucket", s.LatencyP50)
 	}
 	// The reported quantile is clamped to the observed max.
-	if p100 := h.quantile(1.0); p100 != 100*time.Millisecond {
+	if p100 := m.latQuantile(1.0); p100 != 100*time.Millisecond {
 		t.Errorf("p100 = %v, want exactly the observed max", p100)
 	}
 }
@@ -159,6 +162,28 @@ func TestWritePrometheusValid(t *testing.T) {
 	} {
 		if !st.Names[name] {
 			t.Errorf("exposition missing %s", name)
+		}
+	}
+}
+
+// TestLatencyBucketLeIsInclusive pins the le semantics of the exposed
+// call-latency histogram: an observation of exactly 2^k ns is counted
+// in the cumulative bucket le=2^k, not first at le=2^(k+1).
+func TestLatencyBucketLeIsInclusive(t *testing.T) {
+	m := NewMetrics()
+	m.RecordCall(core.CallInfo{Match: core.ContentMatch}, nil, 1024*time.Nanosecond)
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := promtext.ReadValues(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for le, want := range map[string]float64{"5.12e-07": 0, "1.024e-06": 1, "2.048e-06": 1} {
+		key := `bsoap_client_call_latency_seconds_bucket{le="` + le + `"}`
+		if got, ok := vals[key]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", key, got, ok, want)
 		}
 	}
 }

@@ -47,6 +47,7 @@ type Slot[E Entry] struct {
 	refs    int32 // in-flight Acquires not yet Released
 	bytes   int64 // accounted size
 	evicted bool  // condemned: out of the maps, awaiting last Release
+	freed   bool  // arena release claimed (by a sweep or the last Release)
 	lastUse int64 // unix nanos of the last Acquire
 }
 
@@ -188,7 +189,7 @@ func (r *Registry[E]) Release(s *Slot[E]) {
 	sh.mu.Lock()
 	if s.evicted {
 		s.refs--
-		free := s.refs == 0
+		free := s.claimFreeLocked()
 		sh.mu.Unlock()
 		if free {
 			r.finalize(s)
@@ -215,7 +216,7 @@ func (r *Registry[E]) Release(s *Slot[E]) {
 	if s.evicted {
 		r.reserved.Add(-delta)
 		s.refs--
-		free := s.refs == 0
+		free := s.claimFreeLocked()
 		sh.mu.Unlock()
 		if free {
 			r.finalize(s)
@@ -234,7 +235,7 @@ func (r *Registry[E]) Release(s *Slot[E]) {
 		r.condemnLocked(sh, s)
 		r.reserved.Add(-delta)
 		s.refs--
-		free := s.refs == 0
+		free := s.claimFreeLocked()
 		sh.mu.Unlock()
 		r.evictionsBudget.Add(1)
 		if r.opts.OnEvict != nil {
@@ -406,9 +407,8 @@ func (r *Registry[E]) condemnRemovedLocked(sh *rshard[E], s *Slot[E]) {
 }
 
 // sweep runs the outside-the-lock half of an eviction: the observer
-// hook and, if no call holds the entry, the arena release. refs is read
-// under the shard lock to decide who frees — either this sweep (refs
-// already zero) or the final Release.
+// hook and, if no call holds the entry, the arena release. Who frees —
+// this sweep or the final Release — is claimed under the shard lock.
 func (r *Registry[E]) sweep(s *Slot[E], reason Reason) {
 	if reason == ReasonBudget {
 		r.evictionsBudget.Add(1)
@@ -420,11 +420,24 @@ func (r *Registry[E]) sweep(s *Slot[E], reason Reason) {
 	}
 	sh := r.shardFor(s.Key)
 	sh.mu.Lock()
-	free := s.refs == 0
+	free := s.claimFreeLocked()
 	sh.mu.Unlock()
 	if free {
 		r.finalize(s)
 	}
+}
+
+// claimFreeLocked reports whether the caller is the one to free a
+// condemned slot's arenas: no call holds it and nobody claimed it yet.
+// A sweep and the last Release of an entry condemned in flight can both
+// see refs == 0; the flag makes exactly one of them free it. Caller
+// holds the shard lock.
+func (s *Slot[E]) claimFreeLocked() bool {
+	if s.refs != 0 || s.freed {
+		return false
+	}
+	s.freed = true
+	return true
 }
 
 // finalize frees a condemned slot's arenas, exactly once, outside

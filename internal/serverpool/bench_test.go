@@ -3,18 +3,15 @@ package serverpool
 import (
 	"sync/atomic"
 	"testing"
-
-	"bsoap/internal/server"
 )
 
 // The scaling benchmark: 8 concurrent clients, each with its own stable
-// request shape, against (a) the single-mutex server.SOAP endpoint with
-// one shared deserializer and (b) the sharded runtime with a replica
-// per connection. The shared decoder holds at most
+// request shape, against the sharded runtime with a replica per
+// connection. A single shared decoder would hold at most
 // diffdeser.MaxTemplatesPerKey templates per operation, so eight
-// distinct shapes thrash it into constant full parses on top of the
-// dispatch lock convoy; per-connection replicas keep every client on
-// the differential fast path with no shared lock.
+// distinct shapes would thrash it into constant full parses;
+// per-connection replicas keep every client on the differential fast
+// path with no shared lock (fastpath% reports it).
 
 const benchClients = 8
 
@@ -25,25 +22,6 @@ func benchBodies(b *testing.B) [][]byte {
 		bodies[i] = c.body(b)
 	}
 	return bodies
-}
-
-func BenchmarkLockedEndpoint8Clients(b *testing.B) {
-	endpoint := server.New(server.Options{DifferentialDeserialization: true})
-	endpoint.Register(sumSchema(), sumFactory())
-	bodies := benchBodies(b)
-	var next atomic.Int64
-	b.SetParallelism(benchClients)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := int(next.Add(1)-1) % benchClients
-		body := bodies[id]
-		for pb.Next() {
-			if _, err := endpoint.Handle(body); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }
 
 func BenchmarkShardedRuntime8Clients(b *testing.B) {

@@ -1,12 +1,18 @@
-// Package serverpool is the concurrent SOAP server runtime. Where
-// server.SOAP serializes every request behind one mutex, Runtime keeps
-// a pool of per-connection (or per-client) replicas, each with its own
-// differential deserializer and differential response stub — the
-// server-side mirror of the client's pool.ShardedStore. Requests from
-// the same connection land on the same replica, so its stored templates
-// track that client's message shapes: concurrent clients with different
-// shapes no longer thrash a shared template set, and decodes proceed in
-// parallel with no cross-connection lock.
+// Package serverpool is the SOAP server runtime: it dispatches incoming
+// envelopes to registered operations, deserializing either with a full
+// schema-driven parse or with differential deserialization, and
+// serializes responses through a differential stub so repeated similar
+// responses benefit exactly as client sends do (the paper notes the
+// technique "could be used equally well by a server sending identical
+// (or similar) responses").
+//
+// Runtime keeps a pool of per-connection (or per-client) replicas, each
+// with its own differential deserializer and differential response stub
+// — the server-side mirror of the client's pool.ShardedStore. Requests
+// from the same connection land on the same replica, so its stored
+// templates track that client's message shapes: concurrent clients with
+// different shapes do not thrash a shared template set, and decodes
+// proceed in parallel with no cross-connection lock.
 //
 // Replicas live in the unified replica registry (internal/replica),
 // which owns sharding, the recency list, in-flight refcounts and the
@@ -35,8 +41,10 @@ import (
 	"bsoap/internal/wire"
 )
 
-// Handler is the per-operation callback, identical to server.Handler.
-type Handler = server.Handler
+// Handler processes one decoded request message and returns a response
+// message, or nil for one-way operations. The request message is owned
+// by the runtime and valid only for the duration of the call.
+type Handler func(req *wire.Message) (*wire.Message, error)
 
 // HandlerFactory builds one handler instance. Each replica gets its own
 // instance, so handlers may keep per-instance state — in particular a

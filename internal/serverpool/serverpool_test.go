@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"bsoap/internal/core"
+	"bsoap/internal/multiref"
 	reg "bsoap/internal/replica"
 	"bsoap/internal/soapdec"
 	"bsoap/internal/trace"
@@ -224,6 +225,57 @@ func TestHTTPHandlerServesWSDLAndPosts(t *testing.T) {
 	}
 	if !strings.Contains(string(resp), "sumResponse") {
 		t.Fatalf("POST response: %s", resp)
+	}
+}
+
+// TestMultiRefRequestsAreInlined drives a multi-ref-encoded request
+// (the format a gSOAP client emits for shared values) through the
+// runtime, with and without differential deserialization, and verifies
+// dispatch sees the resolved values.
+func TestMultiRefRequestsAreInlined(t *testing.T) {
+	m := wire.NewMessage("urn:mr", "tag")
+	arr := m.AddStringArray("labels", 6)
+	for i := 0; i < 6; i++ {
+		arr.Set(i, "shared-label-value-alpha")
+	}
+	body := multiref.NewEncoder().Serialize(m)
+	if !multiref.HasRefs(body) {
+		t.Fatal("test setup: no refs emitted")
+	}
+	for _, dds := range []bool{false, true} {
+		rt := New(Options{DifferentialDeserialization: dds})
+		var seen []string
+		rt.Register(&soapdec.Schema{
+			Namespace: "urn:mr",
+			Op:        "tag",
+			Params:    []soapdec.ParamSpec{{Name: "labels", Type: wire.ArrayOf(wire.TString)}},
+		}, func() Handler {
+			resp := wire.NewMessage("urn:mr", "tagResponse")
+			count := resp.AddInt("count", 0)
+			return func(req *wire.Message) (*wire.Message, error) {
+				seen = seen[:0]
+				for i := 0; i < req.NumLeaves(); i++ {
+					seen = append(seen, req.LeafString(i))
+				}
+				count.Set(int32(len(seen)))
+				return resp, nil
+			}
+		})
+		resp, err := rt.Handle(1, "", body)
+		if err != nil {
+			t.Fatalf("dds=%v: %v", dds, err)
+		}
+		if !strings.Contains(string(resp), ">6<") {
+			t.Fatalf("dds=%v: response: %s", dds, resp)
+		}
+		for i, s := range seen {
+			if s != "shared-label-value-alpha" {
+				t.Fatalf("dds=%v: label %d = %q", dds, i, s)
+			}
+		}
+		if st := rt.Stats(); st.MultiRefInlined != 1 {
+			t.Fatalf("dds=%v: stats: %+v", dds, st)
+		}
 	}
 }
 

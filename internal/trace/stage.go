@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Stage identifies one segment of a call's end-to-end latency. Client
 // stages are measured by internal/pool, server stages by
@@ -84,24 +81,17 @@ func StageFromString(name string) (Stage, bool) {
 	return 0, false
 }
 
-// stageBuckets is the per-stage histogram resolution: power-of-two
-// nanosecond buckets, bucket i counting durations with
-// 2^(i-1) < d <= 2^i ns (bucket 0 is <=1ns), covering ~1ns to ~9min.
-const stageBuckets = 40
-
 // StageHist is an always-on, allocation-free per-stage latency
-// histogram: one power-of-two-bucket nanosecond histogram per Stage,
-// all counters atomic. It is embedded in both the client and the server
-// metrics registries and rendered as the bsoap_{client,server}_stage_seconds
-// Prometheus families.
+// histogram: one Histogram per Stage plus the stage's most recent traced
+// observation as an exemplar. It is embedded in both the client and the
+// server metrics registries and rendered as the
+// bsoap_{client,server}_stage_seconds Prometheus families.
 type StageHist struct {
 	stages [StageCount]stageDist
 }
 
 type stageDist struct {
-	buckets  [stageBuckets]atomic.Int64
-	count    atomic.Int64
-	sum      atomic.Int64 // nanoseconds
+	Histogram
 	lastSpan atomic.Uint64
 	lastNs   atomic.Int64
 }
@@ -113,17 +103,8 @@ func (h *StageHist) Observe(st Stage, ns int64, span uint64) {
 	if int(st) >= StageCount {
 		return
 	}
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= stageBuckets {
-		i = stageBuckets - 1
-	}
 	d := &h.stages[st]
-	d.buckets[i].Add(1)
-	d.count.Add(1)
-	d.sum.Add(ns)
+	d.Histogram.Observe(ns)
 	if span != 0 {
 		d.lastSpan.Store(span)
 		d.lastNs.Store(ns)
@@ -141,12 +122,12 @@ func (h *StageHist) Exemplar(st Stage) (span uint64, ns int64, ok bool) {
 	return span, d.lastNs.Load(), span != 0
 }
 
-// Count returns the number of observations recorded for the stage.
-func (h *StageHist) Count(st Stage) int64 {
+// Stage returns the stage's histogram (nil for an unknown stage).
+func (h *StageHist) Stage(st Stage) *Histogram {
 	if int(st) >= StageCount {
-		return 0
+		return nil
 	}
-	return h.stages[st].count.Load()
+	return &h.stages[st].Histogram
 }
 
 // SumSeconds returns the stage's cumulative observed time in seconds.
@@ -154,34 +135,5 @@ func (h *StageHist) SumSeconds(st Stage) float64 {
 	if int(st) >= StageCount {
 		return 0
 	}
-	return float64(h.stages[st].sum.Load()) / 1e9
-}
-
-// Buckets copies the stage's per-bucket (non-cumulative) counts into
-// dst, which must hold StageBucketCount entries, and returns the
-// observation count at snapshot start.
-func (h *StageHist) Buckets(st Stage, dst []int64) int64 {
-	if int(st) >= StageCount {
-		return 0
-	}
-	d := &h.stages[st]
-	n := d.count.Load()
-	for i := 0; i < stageBuckets && i < len(dst); i++ {
-		dst[i] = d.buckets[i].Load()
-	}
-	return n
-}
-
-// StageBucketCount is the number of histogram buckets per stage.
-const StageBucketCount = stageBuckets
-
-// StageBucketUppers returns the bucket upper bounds in seconds
-// (2^i nanoseconds for bucket i). The slice is freshly allocated; cold
-// path only (exposition).
-func StageBucketUppers() []float64 {
-	u := make([]float64, stageBuckets)
-	for i := range u {
-		u[i] = float64(uint64(1)<<uint(i)) / 1e9
-	}
-	return u
+	return float64(h.stages[st].Sum()) / 1e9
 }

@@ -257,7 +257,7 @@ type Tracer struct {
 	slowQuantile atomic.Uint64 // math.Float64bits of the rolling quantile
 	slowIdx      atomic.Uint64
 	slowCaptured atomic.Uint64
-	slowLat      latDist
+	slowLat      Histogram
 	slow         []slowEntry
 }
 

@@ -286,11 +286,11 @@ var serverStages = []trace.Stage{
 // traced span as an exemplar. Shared by the client and server
 // registries (cold path: exposition only).
 func StageSeconds(h *trace.StageHist, stages []trace.Stage) []promtext.LabeledHistogram {
-	uppers := trace.StageBucketUppers()
+	uppers := trace.HistUppers()
 	out := make([]promtext.LabeledHistogram, 0, len(stages))
 	for _, st := range stages {
-		counts := make([]int64, trace.StageBucketCount)
-		n := h.Buckets(st, counts)
+		counts := make([]int64, trace.HistBuckets)
+		n := h.Stage(st).Buckets(counts)
 		lh := promtext.LabeledHistogram{
 			Label:  st.String(),
 			Uppers: uppers,

@@ -537,8 +537,8 @@ func (s *Sender) EndStream() error {
 	return s.maybeReadResponse()
 }
 
-// Roundtrip sends bufs and returns the response body regardless of the
-// ExpectResponse option — the RPC path used by the examples.
+// Roundtrip sends bufs and returns the whole response, whatever the
+// ExpectResponse option.
 func (s *Sender) Roundtrip(bufs net.Buffers) (*Response, error) {
 	if err := s.writeRequest(bufs); err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ import (
 	"bsoap"
 	"bsoap/internal/faultwire"
 	"bsoap/internal/harness"
-	"bsoap/internal/server"
 	"bsoap/internal/serverpool"
 	"bsoap/internal/transport"
 	"bsoap/internal/workload"
@@ -212,7 +211,3 @@ func TestServerDrainUnderLoad(t *testing.T) {
 		t.Fatalf("transport received %d requests but runtime handled %d", snap.Requests, handled)
 	}
 }
-
-// harness.BenchRuntime's server.Handler alias must stay interchangeable
-// with the locked endpoint's handler type (factories feed both).
-var _ server.Handler = serverpool.Handler(nil)
