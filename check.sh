@@ -49,7 +49,9 @@ lru_guard
 # One-of-each guard: each merged mechanism keeps its single copy. The
 # power-of-two bucket math lives only in the one latency histogram
 # (internal/trace/hist.go); the deleted rpc client package and the
-# retired single-mutex server endpoint (server.New) must not return.
+# retired single-mutex server endpoint (server.New) must not return;
+# the client template store has one memory bound, the byte budget, so
+# the per-group count cap (MaxPerGroup) must not come back beside it.
 one_of_each_guard() {
     offenders=$(grep -rl 'bits\.Len64' --include='*.go' . \
         | grep -v '^\./internal/trace/hist\.go$' || true)
@@ -67,6 +69,12 @@ one_of_each_guard() {
     offenders=$(grep -rlE '(^|[^A-Za-z0-9_])server\.New\(' --include='*.go' . || true)
     if [ -n "$offenders" ]; then
         echo "one-of-each guard: server.New caller (use serverpool.New):" >&2
+        echo "$offenders" >&2
+        exit 1
+    fi
+    offenders=$(grep -rl 'MaxPerGroup' --include='*.go' ./internal || true)
+    if [ -n "$offenders" ]; then
+        echo "one-of-each guard: a per-group count cap (MaxPerGroup) is back; the byte budget is the template store's one bound:" >&2
         echo "$offenders" >&2
         exit 1
     fi

@@ -55,7 +55,7 @@ func main() {
 		conns     = flag.Int("conns", 0, "pooled connections (default = workers, max 16)")
 		replicas  = flag.Int("replicas", 4, "template replicas per operation structure")
 		shards    = flag.Int("shards", 16, "template store shards")
-		maxTmplB  = flag.Int64("max-template-bytes", 0, "template memory budget in bytes (0 = unbudgeted); LRU entries are evicted to stay under it")
+		maxTmplB  = flag.Int64("max-template-bytes", 0, "template memory budget in bytes (0 = the pool default, 64 MiB); least-recently-used entries are evicted to stay under it")
 		mix       = flag.String("mix", "60/30/10", "percent of iterations that are untouched/touched/grown")
 		metrics   = flag.String("metrics", "", "serve live metrics on this address (e.g. :8123): JSON at /, Prometheus at /metrics, /debug/trace, /debug/trace/slow, /debug/health, /debug/templates")
 		traceOn   = flag.Bool("trace", false, "enable the flight recorder (dump via -metrics /debug/trace or report a summary on exit)")

@@ -63,6 +63,19 @@ type Deserializer struct {
 	maxKeys   int
 	evictions int64
 	size      int64 // resident bytes, maintained incrementally
+	// staged is tryFast's scratch list of re-lexed values awaiting
+	// commit, reused across calls so the warm path never allocates.
+	staged []staged
+}
+
+// staged is one re-lexed leaf value; the field read is chosen by the
+// leaf's kind.
+type staged struct {
+	leaf int
+	i    int32
+	d    float64
+	b    bool
+	s    string
 }
 
 // keyTemplates is one operation key's template list, LRU front first.
@@ -175,31 +188,27 @@ func (d *Deserializer) tryFast(tpl *template, body []byte) (*wire.Message, Info,
 	// a failure mid-way must leave the template (message and bytes)
 	// exactly as it was, or a later fast-path hit against the unchanged
 	// tpl.body baseline would serve stale values.
-	type update struct {
-		leaf  int
-		value any
-	}
-	var updates []update
+	d.staged = d.staged[:0]
 	for i, r := range tpl.ranges {
 		if bytes.Equal(body[r.Start:r.End], tpl.body[r.Start:r.End]) {
 			continue
 		}
-		v, err := relexRegion(tpl.msg, i, body[r.Start:r.End])
+		u, err := relexRegion(tpl.msg, i, body[r.Start:r.End])
 		if err != nil {
 			return nil, info, false, err.Error()
 		}
-		updates = append(updates, update{leaf: i, value: v})
+		d.staged = append(d.staged, u)
 	}
-	for _, u := range updates {
+	for _, u := range d.staged {
 		switch tpl.msg.LeafType(u.leaf).Kind {
 		case wire.Int:
-			tpl.msg.SetLeafInt(u.leaf, u.value.(int32))
+			tpl.msg.SetLeafInt(u.leaf, u.i)
 		case wire.Double:
-			tpl.msg.SetLeafDouble(u.leaf, u.value.(float64))
+			tpl.msg.SetLeafDouble(u.leaf, u.d)
 		case wire.Bool:
-			tpl.msg.SetLeafBool(u.leaf, u.value.(bool))
+			tpl.msg.SetLeafBool(u.leaf, u.b)
 		case wire.String:
-			tpl.msg.SetLeafString(u.leaf, u.value.(string))
+			tpl.msg.SetLeafString(u.leaf, u.s)
 		}
 		info.ValuesReparsed++
 	}
@@ -210,36 +219,45 @@ func (d *Deserializer) tryFast(tpl *template, body []byte) (*wire.Message, Info,
 
 // relexRegion re-parses one variable region: VALUE</tag>␣␣… — the value
 // text up to the first '<', the expected closing tag, then whitespace —
-// and returns the parsed value without mutating the message.
-func relexRegion(msg *wire.Message, leaf int, seg []byte) (any, error) {
+// and returns the parsed value without mutating the message. Only a
+// string value allocates: the closing tag is compared in place, and the
+// scalar parsers do not retain the converted text, so its conversion
+// stays on the stack.
+func relexRegion(msg *wire.Message, leaf int, seg []byte) (staged, error) {
+	u := staged{leaf: leaf}
 	lt := bytes.IndexByte(seg, '<')
 	if lt < 0 {
-		return nil, fmt.Errorf("leaf %d: no closing tag in region", leaf)
+		return u, fmt.Errorf("leaf %d: no closing tag in region", leaf)
 	}
-	rest := seg[lt:]
-	closeTag := "</" + msg.LeafTag(leaf) + ">"
-	if len(rest) < len(closeTag) || string(rest[:len(closeTag)]) != closeTag {
-		return nil, fmt.Errorf("leaf %d: closing tag changed", leaf)
+	rest := seg[lt:] // starts with '<'
+	tag := msg.LeafTag(leaf)
+	end := len("</") + len(tag) + len(">")
+	if len(rest) < end || rest[1] != '/' || string(rest[2:end-1]) != tag || rest[end-1] != '>' {
+		return u, fmt.Errorf("leaf %d: closing tag changed", leaf)
 	}
-	for _, b := range rest[len(closeTag):] {
+	for _, b := range rest[end:] {
 		if !xsdlex.IsSpace(b) {
-			return nil, fmt.Errorf("leaf %d: non-whitespace padding", leaf)
+			return u, fmt.Errorf("leaf %d: non-whitespace padding", leaf)
 		}
 	}
-	raw := string(seg[:lt])
-	t := msg.LeafType(leaf)
-	if t.Kind == wire.String {
-		unescaped, err := xsdlex.UnescapeText(raw)
-		if err != nil {
-			return nil, fmt.Errorf("leaf %d: %w", leaf, err)
-		}
-		return unescaped, nil
+	raw := seg[:lt]
+	var err error
+	switch t := msg.LeafType(leaf); t.Kind {
+	case wire.Int:
+		u.i, err = xsdlex.ParseInt(string(raw))
+	case wire.Double:
+		u.d, err = xsdlex.ParseDouble(string(raw))
+	case wire.Bool:
+		u.b, err = xsdlex.ParseBool(string(raw))
+	case wire.String:
+		u.s, err = xsdlex.UnescapeText(string(raw))
+	default:
+		err = fmt.Errorf("soapdec: non-scalar type %v", t.Kind)
 	}
-	v, err := soapdec.ParseScalar(t, raw)
 	if err != nil {
-		return nil, fmt.Errorf("leaf %d: %w", leaf, err)
+		return u, fmt.Errorf("leaf %d: %w", leaf, err)
 	}
-	return v, nil
+	return u, nil
 }
 
 // fullParse runs the complete schema-driven parse and refreshes the

@@ -19,6 +19,7 @@
 package multiref
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -149,9 +150,10 @@ func (e *Encoder) value(b []byte, m *wire.Message, t *wire.Type, tag string, lea
 	return b, leaf + 1
 }
 
-// HasRefs cheaply detects whether a body uses multi-ref encoding.
+// HasRefs cheaply detects whether a body uses multi-ref encoding. It
+// scans body in place, without copying it to a string.
 func HasRefs(body []byte) bool {
-	return strings.Contains(string(body), `href="#`)
+	return bytes.Contains(body, []byte(`href="#`))
 }
 
 // Inline resolves every href reference in body against its multiRef

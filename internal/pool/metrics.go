@@ -262,8 +262,9 @@ type Stats struct {
 	TemplateStaleRebinds int64 `json:"template_stale_rebinds"`
 	// TemplateEvictions counts (operation, signature) replica sets
 	// dropped for any reason; TemplateBudgetEvictions is the subset
-	// driven by the MaxTemplateBytes budget (the rest is the
-	// per-operation LRU cap).
+	// driven by the MaxTemplateBytes budget. The store has no count
+	// cap, so the two are equal; the exposition keeps its "lru" label
+	// (always zero) for scrape compatibility.
 	TemplateEvictions       int64 `json:"template_evictions"`
 	TemplateBudgetEvictions int64 `json:"template_budget_evictions"`
 

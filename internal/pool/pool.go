@@ -56,8 +56,10 @@ type Options struct {
 	// MaxTemplateBytes budgets the template store's memory: the sum of
 	// all replica sets' template footprints is kept at or below it by
 	// evicting least-recently-used entries (with per-operation fairness
-	// floors). Zero leaves template memory bounded only by the
-	// per-operation count caps. See README "Sizing template memory".
+	// floors). It is the store's only bound: an operation keeps a warm
+	// template for every message shape it sends until the bytes run
+	// out. Zero means DefaultMaxTemplateBytes. See README "Sizing
+	// template memory".
 	MaxTemplateBytes int64
 
 	// MaxRetries is how many times a Call is retried on a send error
@@ -97,6 +99,18 @@ type Options struct {
 	// Sender.ExpectResponse or every send simply stays full (lossless).
 	Delta bool
 }
+
+// DefaultMaxTemplateBytes is the template budget a pool gets when
+// Options.MaxTemplateBytes is zero: 64 MiB. One engine replica's
+// template accounts a 33 KB arena floor plus about 100 bytes per
+// double or int leaf (280 per MIO element): 39 KB for a 100-element
+// array, 130 KB for 1000 doubles, 1 MB for 10000. The default thus
+// keeps about 1600 replicas of 100-element messages, or 500 of
+// 1000-double ones, warm at once — the pipelined-mix benchmark's
+// 16 shapes at four replicas each need under 3 MB — while staying a
+// hard ceiling for a client that meets an unbounded stream of shapes.
+// Nothing is sized from it up front; it only caps growth.
+const DefaultMaxTemplateBytes = 64 << 20
 
 func (o Options) withDefaults() Options {
 	if o.Size <= 0 {

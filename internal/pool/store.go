@@ -16,8 +16,8 @@ import (
 
 // ShardedStore is the concurrent template store at the heart of the
 // pool, built on the unified replica registry (internal/replica): entry
-// lookup, sharding, the per-operation signature LRU, in-flight
-// refcounts and the byte budget all live there; this file owns what is
+// lookup, sharding, in-flight refcounts and the byte budget — the
+// store's one memory bound — all live there; this file owns what is
 // client-specific — the engine replicas inside an entry, message
 // affinity, and the stale-rebind protocol.
 //
@@ -39,13 +39,13 @@ import (
 // is forced through a full value rewrite (see acquire), or its
 // untouched resend would put that replica's stale bytes on the wire.
 //
-// Eviction — per-operation LRU cap or byte budget — condemns an entry
-// in the registry; calls already holding one of its engines complete
-// unaffected, and the registry releases the entry's chunk arenas when
-// the last in-flight call returns (previously eviction could only drop
-// references and wait for the garbage collector). A message whose entry
-// was evicted simply builds a fresh one on its next call: a degraded
-// first-time send, never a diff against released bytes.
+// Eviction by the byte budget condemns an entry in the registry; calls
+// already holding one of its engines complete unaffected, and the
+// registry releases the entry's chunk arenas when the last in-flight
+// call returns (previously eviction could only drop references and wait
+// for the garbage collector). A message whose entry was evicted simply
+// builds a fresh one on its next call: a degraded first-time send, never
+// a diff against released bytes.
 type ShardedStore struct {
 	reg      *reg.Registry[*storeEntry]
 	replicas int
@@ -178,7 +178,7 @@ func (w *swapSink) SendDelta(bufs net.Buffers, tid, newEpoch uint64) error {
 
 // NewShardedStore builds a store with the given shard count (rounded up
 // to a power of two, default 16), per-key replica limit (default 4),
-// and template memory budget in bytes (0 = unbudgeted).
+// and template memory budget in bytes (default DefaultMaxTemplateBytes).
 func NewShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *Metrics) *ShardedStore {
 	if shards <= 0 {
 		shards = 16
@@ -186,12 +186,11 @@ func NewShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 	if replicas <= 0 {
 		replicas = 4
 	}
+	if maxBytes <= 0 {
+		maxBytes = DefaultMaxTemplateBytes
+	}
 	if m == nil {
 		m = NewMetrics()
-	}
-	perOp := cfg.MaxTemplatesPerOp
-	if perOp <= 0 {
-		perOp = 4 // core.Config's own default
 	}
 	s := &ShardedStore{
 		replicas: replicas,
@@ -199,9 +198,8 @@ func NewShardedStore(shards, replicas int, maxBytes int64, cfg core.Config, m *M
 		metrics:  m,
 	}
 	s.reg = reg.NewRegistry(reg.RegistryOptions[*storeEntry]{
-		Shards:      shards,
-		MaxPerGroup: perOp,
-		MaxBytes:    maxBytes,
+		Shards:   shards,
+		MaxBytes: maxBytes,
 		New: func(reg.Key) *storeEntry {
 			return &storeEntry{last: reg.NewTracker[*wire.Message, *engine](0)}
 		},

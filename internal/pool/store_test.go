@@ -70,21 +70,23 @@ func TestReplicaBounceForcesRewrite(t *testing.T) {
 	}
 }
 
-// TestShardedStoreEvictsColdSignatures proves the per-operation LRU cap:
-// cold (operation, signature) replica sets are dropped, recently used
-// ones stay warm, so the store cannot grow without bound under varying
-// message shapes.
+// TestShardedStoreEvictsColdSignatures proves the byte budget evicts
+// cold (operation, signature) replica sets while recently used ones stay
+// warm, so the store cannot grow without bound under varying message
+// shapes. The budget fits two of the three shapes' templates.
 func TestShardedStoreEvictsColdSignatures(t *testing.T) {
-	p, _ := newDiscardPool(t, Options{
-		Replicas: 1,
-		Config:   core.Config{MaxTemplatesPerOp: 2},
-	})
-
 	// Each array length is a distinct structural signature of the same
-	// operation.
+	// operation; the three templates differ in size by a few bytes.
 	dA := workload.NewDoubles(4, workload.FillIntermediate)
 	dB := workload.NewDoubles(5, workload.FillIntermediate)
 	dC := workload.NewDoubles(6, workload.FillIntermediate)
+
+	probe, _ := newDiscardPool(t, Options{Replicas: 1})
+	if _, err := probe.Call(workload.NewDoubles(6, workload.FillIntermediate).Msg); err != nil {
+		t.Fatal(err)
+	}
+	one := probe.Stats().TemplateBytes
+	p, _ := newDiscardPool(t, Options{Replicas: 1, MaxTemplateBytes: one * 5 / 2})
 
 	for _, m := range []*workload.Doubles{dA, dB} {
 		if ci, err := p.Call(m.Msg); err != nil || ci.Match != core.FirstTime {
@@ -100,7 +102,7 @@ func TestShardedStoreEvictsColdSignatures(t *testing.T) {
 	}
 
 	if got := p.Entries(); got != 2 {
-		t.Fatalf("entries = %d, want 2 (per-op cap)", got)
+		t.Fatalf("entries = %d, want 2 (budget fits two)", got)
 	}
 	if ci, err := p.Call(dA.Msg); err != nil || ci.Match == core.FirstTime {
 		t.Fatalf("A went cold despite recency: %v %v", ci.Match, err)
@@ -108,8 +110,46 @@ func TestShardedStoreEvictsColdSignatures(t *testing.T) {
 	if ci, err := p.Call(dB.Msg); err != nil || ci.Match != core.FirstTime {
 		t.Fatalf("B expected to have been evicted: %v %v", ci.Match, err)
 	}
-	if got := p.Stats().TemplateEvictions; got != 2 {
-		t.Fatalf("evictions = %d, want 2 (B then C)", got)
+	st := p.Stats()
+	if st.TemplateEvictions != 2 || st.TemplateBudgetEvictions != 2 {
+		t.Fatalf("evictions = %d (budget %d), want 2 budget evictions (B then C)",
+			st.TemplateEvictions, st.TemplateBudgetEvictions)
+	}
+	if st.TemplateBytes > one*5/2 {
+		t.Fatalf("template bytes %d over the %d budget", st.TemplateBytes, one*5/2)
+	}
+}
+
+// TestDefaultPoolKeepsEveryShapeWarm is the regression test for the
+// pool-wide per-operation signature cap: one operation sent in six
+// shapes in ring order — the worst case for a count-capped LRU, which
+// evicted every shape just before its turn came round again — must stay
+// warm under the default byte budget: one first-time send per shape,
+// then content matches, no evictions.
+func TestDefaultPoolKeepsEveryShapeWarm(t *testing.T) {
+	p, _ := newDiscardPool(t, Options{})
+	var shapes []*workload.Doubles
+	for n := 96; n < 102; n++ {
+		shapes = append(shapes, workload.NewDoubles(n, workload.FillIntermediate))
+	}
+	for round := 0; round < 5; round++ {
+		for i, d := range shapes {
+			ci, err := p.Call(d.Msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round > 0 && ci.Match == core.FirstTime {
+				t.Fatalf("round %d shape %d: first-time send after warm-up", round, i)
+			}
+		}
+	}
+	st := p.Stats()
+	if st.FirstTimeSends != int64(len(shapes)) || st.TemplateEvictions != 0 {
+		t.Fatalf("first-time sends %d, evictions %d; want %d and 0",
+			st.FirstTimeSends, st.TemplateEvictions, len(shapes))
+	}
+	if got := p.Entries(); got != len(shapes) {
+		t.Fatalf("entries = %d, want %d", got, len(shapes))
 	}
 }
 

@@ -16,9 +16,6 @@ type RegistryOptions[E Entry] struct {
 	// MaxEntries caps the total entry count; the cap is applied per
 	// shard as max(1, MaxEntries/Shards). 0 means uncapped.
 	MaxEntries int
-	// MaxPerGroup caps the number of entries per Group (the historical
-	// per-operation signature cap). 0 means uncapped.
-	MaxPerGroup int
 	// MaxBytes is the registry's memory budget: the sum of accounted
 	// entry sizes is kept at or below it by evicting least-recently-
 	// used entries. 0 means unbudgeted.
@@ -84,6 +81,8 @@ type rshard[E Entry] struct {
 	_       [24]byte // soften false sharing between adjacent shard locks
 }
 
+// groupStats is one group's resident entry count (the map entry is
+// dropped when it reaches zero) and bytes (the fairness floor's input).
 type groupStats struct {
 	count int
 	bytes int64
@@ -143,20 +142,12 @@ func (r *Registry[E]) Acquire(key Key) (s *Slot[E], created bool) {
 	s = &Slot[E]{Key: key, refs: 1, lastUse: now}
 	s.Value = r.opts.New(key)
 
-	// Count caps: condemn victims under the lock, finalize outside it.
-	var victims []*Slot[E]
-	if key.Group != "" && r.opts.MaxPerGroup > 0 {
-		if g := sh.groups[key.Group]; g != nil && g.count >= r.opts.MaxPerGroup {
-			if v := sh.tailOfGroup(key.Group); v != nil {
-				r.condemnLocked(sh, v)
-				victims = append(victims, v)
-			}
-		}
-	}
+	// Count cap: condemn the victim under the lock, finalize outside it.
+	var victim *Slot[E]
 	if r.perShard > 0 && sh.entries.Len() >= r.perShard {
 		if _, v, ok := sh.entries.RemoveTail(); ok {
 			r.condemnRemovedLocked(sh, v)
-			victims = append(victims, v)
+			victim = v
 		}
 	}
 
@@ -171,8 +162,8 @@ func (r *Registry[E]) Acquire(key Key) (s *Slot[E], created bool) {
 	}
 	sh.mu.Unlock()
 
-	for _, v := range victims {
-		r.sweep(v, ReasonLRU)
+	if victim != nil {
+		r.sweep(victim, ReasonLRU)
 	}
 	return s, true
 }
@@ -445,20 +436,6 @@ func (s *Slot[E]) claimFreeLocked() bool {
 func (r *Registry[E]) finalize(s *Slot[E]) {
 	s.Value.ReleaseArenas()
 	r.pending.Add(-1)
-}
-
-// tailOfGroup finds the least recently used entry of a group. Caller
-// holds the shard lock.
-func (sh *rshard[E]) tailOfGroup(group string) *Slot[E] {
-	var victim *Slot[E]
-	sh.entries.FromTail(func(_ Key, s *Slot[E]) bool {
-		if s.Key.Group == group {
-			victim = s
-			return false
-		}
-		return true
-	})
-	return victim
 }
 
 // Len reports the number of resident entries.

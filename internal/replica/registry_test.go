@@ -95,42 +95,6 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 	}
 }
 
-func TestPerGroupCountCap(t *testing.T) {
-	var log evictLog
-	r := newTestRegistry(RegistryOptions[*testEntry]{
-		Shards: 1, MaxPerGroup: 2, OnEvict: log.hook,
-	})
-	a := checkout(r, Key{Group: "op", Sub: "a"}, 10)
-	checkout(r, Key{Group: "op", Sub: "b"}, 10)
-	checkout(r, Key{Group: "other", Sub: "x"}, 10)
-	// Touch a so b is the op-group tail.
-	checkout(r, Key{Group: "op", Sub: "a"}, 10)
-	checkout(r, Key{Group: "op", Sub: "c"}, 10)
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
-	}
-	if n := log.byReason(ReasonLRU); n != 1 {
-		t.Fatalf("LRU evictions = %d, want 1", n)
-	}
-	log.mu.Lock()
-	victim := log.recs[0].key
-	log.mu.Unlock()
-	if victim != (Key{Group: "op", Sub: "b"}) {
-		t.Fatalf("evicted %v, want op/b (group tail)", victim)
-	}
-	// The other group was untouched; a was kept (touched).
-	if s, created := r.Acquire(Key{Group: "op", Sub: "a"}); created {
-		t.Fatal("a was evicted")
-	} else if s != a {
-		t.Fatal("a's slot changed identity")
-	} else {
-		r.Release(s)
-	}
-	if c := r.Counters(); c.EvictionsLRU != 1 || c.EvictionsBudget != 0 {
-		t.Fatalf("counters = %+v", c)
-	}
-}
-
 func TestPerShardCountCap(t *testing.T) {
 	r := newTestRegistry(RegistryOptions[*testEntry]{Shards: 1, MaxEntries: 3})
 	var entries []*testEntry

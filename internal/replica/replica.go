@@ -15,8 +15,8 @@
 //   - Tracker: the one bounded last-served affinity map (message-,
 //     connection- or client-keyed) with wholesale reset at capacity.
 //   - Registry: the sharded entry store, parameterized over the entry
-//     type, owning count caps (per shard and per group), an in-flight
-//     refcount protocol, and byte-accurate memory budgeting.
+//     type, owning a per-shard count cap, an in-flight refcount
+//     protocol, and byte-accurate memory budgeting.
 //
 // # Ownership and refcounts
 //
@@ -56,7 +56,7 @@ import "strconv"
 // the server runtime by Conn (AffinityConn) or Sub=remote host
 // (AffinityClient). Group, when set, names the fairness-accounting
 // group and pins all of a group's entries to one shard so per-group
-// caps and floors need no cross-shard coordination.
+// fairness floors need no cross-shard coordination.
 type Key struct {
 	// Group is the operation name (client registries) or "" (server
 	// registries, which have no per-group semantics).
@@ -83,8 +83,8 @@ func (k Key) String() string {
 
 // hash spreads keys over shards. Group-keyed entries hash the group
 // alone, keeping every signature of an operation in one shard (the
-// per-group LRU cap and fairness floor are therefore global for the
-// operation while different operations never contend).
+// per-group fairness floor is therefore global for the operation while
+// different operations never contend).
 func (k Key) hash() uint32 {
 	if k.Group != "" {
 		return fnv32(k.Group)
@@ -129,7 +129,7 @@ type Entry interface {
 type Reason int
 
 const (
-	// ReasonLRU marks a count-cap eviction (per-group or per-shard).
+	// ReasonLRU marks a count-cap eviction (Options.MaxEntries).
 	ReasonLRU Reason = iota
 	// ReasonBudget marks an eviction driven by Options.MaxBytes.
 	ReasonBudget

@@ -97,11 +97,16 @@ func DoubleLen(v float64) int {
 
 // ParseInt parses the lexical form of an xsd:int, accepting surrounding
 // XML whitespace (the collapse facet).
+//
+// The Parse functions never retain s: an error quotes a copy. So s does
+// not escape, and a caller's string(b) conversion of a short []byte
+// argument stays on the stack — the differential decoder's warm path
+// parses re-lexed values without allocating.
 func ParseInt(s string) (int32, error) {
 	s = TrimSpace(s)
 	v, err := strconv.ParseInt(s, 10, 32)
 	if err != nil {
-		return 0, fmt.Errorf("xsdlex: invalid int %q: %w", s, err)
+		return 0, fmt.Errorf("xsdlex: invalid int %q: %w", strings.Clone(s), err)
 	}
 	return int32(v), nil
 }
@@ -111,7 +116,7 @@ func ParseLong(s string) (int64, error) {
 	s = TrimSpace(s)
 	v, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("xsdlex: invalid long %q: %w", s, err)
+		return 0, fmt.Errorf("xsdlex: invalid long %q: %w", strings.Clone(s), err)
 	}
 	return v, nil
 }
@@ -130,7 +135,7 @@ func ParseDouble(s string) (float64, error) {
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
-		return 0, fmt.Errorf("xsdlex: invalid double %q: %w", s, err)
+		return 0, fmt.Errorf("xsdlex: invalid double %q: %w", strings.Clone(s), err)
 	}
 	return v, nil
 }
@@ -143,7 +148,7 @@ func ParseBool(s string) (bool, error) {
 	case "false", "0":
 		return false, nil
 	}
-	return false, fmt.Errorf("xsdlex: invalid boolean %q", s)
+	return false, fmt.Errorf("xsdlex: invalid boolean %q", strings.Clone(s))
 }
 
 // IsSpace reports whether b is an XML white-space character.

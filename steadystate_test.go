@@ -10,13 +10,17 @@
 package bsoap_test
 
 import (
+	"net"
 	"os"
 	"testing"
 
 	"bsoap/internal/chunk"
 	"bsoap/internal/core"
+	"bsoap/internal/diffdeser"
 	"bsoap/internal/harness"
+	"bsoap/internal/multiref"
 	"bsoap/internal/pool"
+	"bsoap/internal/soapdec"
 	"bsoap/internal/trace"
 	"bsoap/internal/transport"
 	"bsoap/internal/wire"
@@ -283,4 +287,73 @@ func TestSteadyStateAllocsOverlay(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// bodySink keeps a copy of the last body sent.
+type bodySink struct{ body []byte }
+
+func (c *bodySink) Send(bufs net.Buffers) error {
+	c.body = c.body[:0]
+	for _, b := range bufs {
+		c.body = append(c.body, b...)
+	}
+	return nil
+}
+
+// TestSteadyStateAllocsServerDecode gates the server's warm request
+// path: the multi-ref sniff and a differential decode that re-lexes
+// every leaf (two same-length bodies alternate, each differing from the
+// other in every double and int) must not allocate — no body copy, no
+// boxed values, no per-call staging slice.
+func TestSteadyStateAllocsServerDecode(t *testing.T) {
+	sink := &bodySink{}
+	stub := core.NewStub(core.Config{
+		Width: core.WidthPolicy{Double: core.MaxWidth, Int: core.MaxWidth},
+	}, sink)
+	m := wire.NewMessage("urn:bench", "echo")
+	ds := m.AddDoubleArray("values", 1000)
+	is := m.AddIntArray("counts", 100)
+	var bodies [2][]byte
+	for k := range bodies {
+		for i := 0; i < 1000; i++ {
+			ds.Set(i, float64(i)*1.1+float64(k))
+		}
+		for i := 0; i < 100; i++ {
+			is.Set(i, int32(i*7919+k))
+		}
+		if _, err := stub.Call(m); err != nil {
+			t.Fatal(err)
+		}
+		bodies[k] = append([]byte(nil), sink.body...)
+	}
+	if len(bodies[0]) != len(bodies[1]) {
+		t.Fatalf("stuffed bodies differ in length: %d vs %d", len(bodies[0]), len(bodies[1]))
+	}
+
+	schema := &soapdec.Schema{Namespace: m.Namespace(), Op: m.Operation()}
+	for _, p := range m.Params() {
+		schema.Params = append(schema.Params, soapdec.ParamSpec{Name: p.Name, Type: p.Type})
+	}
+	d := diffdeser.New(func(string) (*soapdec.Schema, bool) { return schema, true })
+	k := 0
+	decode := func() {
+		body := bodies[k]
+		k ^= 1
+		if multiref.HasRefs(body) {
+			t.Fatal("plain body reported as multi-ref")
+		}
+		_, info, err := d.Decode("echo", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.FullParse && info.ValuesReparsed != 1100 {
+			t.Fatalf("fast path re-lexed %d leaves, want 1100", info.ValuesReparsed)
+		}
+	}
+	decode() // full parse builds the template
+	decode() // first fast path sizes the staging scratch
+	gateAllocs(t, 0, decode)
+	if _, info, _ := d.Decode("echo", bodies[k]); info.FullParse {
+		t.Fatalf("warm decode fell back to a full parse: %s", info.Reason)
+	}
 }
