@@ -5,6 +5,23 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Every background process a smoke starts is tracked, and one EXIT trap
+# kills whatever is still running when check.sh stops, so a smoke that
+# fails before its own kill leaves no server bound to its port for the
+# next run's loadgen to talk to. A smoke that reaps its processes itself
+# clears the list before it returns.
+bg_pids=""
+track() { bg_pids="$bg_pids $1"; }
+cleanup() {
+    for pid in $bg_pids; do
+        kill -KILL "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
+    [ -z "${tmp:-}" ] || rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 1' HUP INT TERM
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -51,7 +68,12 @@ lru_guard
 # (internal/trace/hist.go); the deleted rpc client package and the
 # retired single-mutex server endpoint (server.New) must not return;
 # the client template store has one memory bound, the byte budget, so
-# the per-group count cap (MaxPerGroup) must not come back beside it.
+# the per-group count cap (MaxPerGroup) must not come back beside it;
+# doubles cross the wire through one codec, internal/xsdlex's
+# shortest-digit encoder and exact parse fast path, so no non-test code
+# formats them with strconv's AppendFloat or 'G', and strconv.ParseFloat
+# stays in xsdlex (its fallback), promtext and bsoap-inspect (metric
+# text, not SOAP values). Comment lines do not count.
 one_of_each_guard() {
     offenders=$(grep -rl 'bits\.Len64' --include='*.go' . \
         | grep -v '^\./internal/trace/hist\.go$' || true)
@@ -75,6 +97,22 @@ one_of_each_guard() {
     offenders=$(grep -rl 'MaxPerGroup' --include='*.go' ./internal || true)
     if [ -n "$offenders" ]; then
         echo "one-of-each guard: a per-group count cap (MaxPerGroup) is back; the byte budget is the template store's one bound:" >&2
+        echo "$offenders" >&2
+        exit 1
+    fi
+    offenders=$(grep -rnE "strconv\.AppendFloat|strconv\.FormatFloat\([^)]*'G'" \
+        --include='*.go' ./internal ./cmd | grep -v '_test\.go:' \
+        | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+    if [ -n "$offenders" ]; then
+        echo "one-of-each guard: a second double encoder (use xsdlex.AppendDouble):" >&2
+        echo "$offenders" >&2
+        exit 1
+    fi
+    offenders=$(grep -rn 'strconv\.ParseFloat' --include='*.go' ./internal ./cmd \
+        | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' \
+        | grep -vE '^\./(internal/xsdlex|internal/promtext|cmd/bsoap-inspect)/' || true)
+    if [ -n "$offenders" ]; then
+        echo "one-of-each guard: a second double parser (use xsdlex.ParseDouble):" >&2
         echo "$offenders" >&2
         exit 1
     fi
@@ -117,10 +155,12 @@ obs_smoke() {
     "$tmp/bsoap-server" -mode discard -addr 127.0.0.1:29999 \
         -metrics 127.0.0.1:28124 -quiet &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29999 -workers 2 -duration 4s \
         -trace -metrics 127.0.0.1:28123 -max-err 0 &
     lg=$!
+    track "$lg"
     sleep 2
     "$tmp/bsoap-inspect" metrics -url http://127.0.0.1:28123/metrics
     "$tmp/bsoap-inspect" metrics -url http://127.0.0.1:28124/metrics
@@ -132,6 +172,7 @@ obs_smoke() {
     wait "$lg"
     kill "$srv" 2>/dev/null || true
     wait "$srv" 2>/dev/null || true
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: observability smoke ok"
 }
@@ -148,12 +189,14 @@ scaling_smoke() {
     "$tmp/bsoap-server" -mode bench -addr 127.0.0.1:29998 \
         -metrics 127.0.0.1:28125 -quiet > "$tmp/srv.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29998 -workers 8 -duration 4s -rpc \
         -max-err 0 -server-metrics http://127.0.0.1:28125/metrics \
         -min-server-fast 90
     kill -TERM "$srv"
     wait "$srv" || { echo "scaling smoke: server exited nonzero" >&2; exit 1; }
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: server-scaling smoke ok"
 }
@@ -169,10 +212,12 @@ drain_smoke() {
     "$tmp/bsoap-server" -mode bench -addr 127.0.0.1:29997 -quiet \
         > "$tmp/srv.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29997 -workers 4 -duration 6s -rpc \
         > "$tmp/lg.log" 2>&1 &
     lg=$!
+    track "$lg"
     sleep 1.5
     kill -TERM "$srv"
     wait "$srv" || { echo "drain smoke: server exited nonzero" >&2; exit 1; }
@@ -182,6 +227,7 @@ drain_smoke() {
         cat "$tmp/srv.log" >&2
         exit 1
     }
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: drain smoke ok"
 }
@@ -204,6 +250,7 @@ pipeline_smoke() {
     "$tmp/bsoap-server" -mode bench -addr 127.0.0.1:29996 -read-ahead 8 \
         -metrics 127.0.0.1:28126 -quiet > "$tmp/srv.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29996 -workers 1 -ops 8 -n 100 \
         -mix 100/0/0 -duration 3s -rpc -max-err 0 > "$tmp/serial.log"
@@ -221,15 +268,18 @@ pipeline_smoke() {
     }
     kill -TERM "$srv"
     wait "$srv" || { echo "pipeline smoke: server exited nonzero" >&2; exit 1; }
+    bg_pids=""
 
     "$tmp/bsoap-server" -mode bench -addr 127.0.0.1:29996 -read-ahead 8 -quiet \
         > "$tmp/srv2.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29996 -workers 2 -ops 8 -n 100 \
         -duration 4s -rpc -pipeline 8 -chaos 0.05 -max-err 100 \
         > "$tmp/chaos.log" 2>&1 &
     lg=$!
+    track "$lg"
     sleep 1.5
     kill -TERM "$srv"
     wait "$srv" || true # drain under chaos: client conns may abort mid-request
@@ -238,6 +288,7 @@ pipeline_smoke() {
         cat "$tmp/chaos.log" >&2
         exit 1
     }
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: pipeline smoke ok"
 }
@@ -259,11 +310,13 @@ budget_smoke() {
         -metrics 127.0.0.1:28127 -max-template-bytes 65536 -quiet \
         > "$tmp/srv.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29995 -workers 4 -ops 8 -n 100 \
         -duration 4s -rpc -metrics 127.0.0.1:28128 \
         -max-template-bytes 65536 -max-err 0 > "$tmp/lg.log" 2>&1 &
     lg=$!
+    track "$lg"
     sleep 2.5
     cev=$("$tmp/bsoap-inspect" metrics -url http://127.0.0.1:28128/metrics \
         -get 'bsoap_client_template_evictions_total{reason="budget"}')
@@ -281,6 +334,7 @@ budget_smoke() {
         echo "budget smoke: expected nonzero budget evictions on both sides" >&2
         exit 1
     }
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: budget smoke ok"
 }
@@ -300,6 +354,7 @@ delta_smoke() {
     "$tmp/bsoap-server" -mode bench -addr 127.0.0.1:29993 \
         -metrics 127.0.0.1:28131 -quiet > "$tmp/srv.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     "$tmp/bsoap-loadgen" -addr 127.0.0.1:29993 -workers 8 -replicas 16 \
         -n 400 -mix 100/0/0 -duration 4s -rpc -delta -max-err 0 \
@@ -313,6 +368,7 @@ delta_smoke() {
     grep 'delta:' "$tmp/lg.log"
     kill -TERM "$srv"
     wait "$srv" || { echo "delta smoke: server exited nonzero" >&2; exit 1; }
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: delta smoke ok"
 }
@@ -333,6 +389,7 @@ correlate_smoke() {
         -metrics 127.0.0.1:28129 -trace -slow-threshold 1us -quiet \
         > "$tmp/srv.log" 2>&1 &
     srv=$!
+    track "$srv"
     sleep 0.5
     # Bounded call count, untouched mix and per-leaf sampling keep both
     # rings far under one wrap — a lapped client ring sheds old spans
@@ -343,6 +400,7 @@ correlate_smoke() {
         -mix 100/0/0 -trace -trace-sample 1000 -slow-threshold 1us \
         -metrics 127.0.0.1:28130 -max-err 0 -hold 30s > "$tmp/lg.log" 2>&1 &
     lg=$!
+    track "$lg"
     held=0
     for _ in $(seq 1 100); do
         if grep -q 'holding debug endpoints' "$tmp/lg.log"; then held=1; break; fi
@@ -377,6 +435,7 @@ correlate_smoke() {
     wait "$lg" 2>/dev/null || true
     kill -TERM "$srv"
     wait "$srv" || { echo "correlate smoke: server exited nonzero" >&2; exit 1; }
+    bg_pids=""
     rm -rf "$tmp"
     echo "check.sh: correlate smoke ok"
 }
@@ -426,5 +485,6 @@ if [ "$FUZZTIME" != "0" ]; then
     go test -run='^$' -fuzz='^FuzzDeltaFrame$'  -fuzztime="$FUZZTIME" ./internal/serverpool
     go test -run='^$' -fuzz='^FuzzUnescape$'    -fuzztime="$FUZZTIME" ./internal/xsdlex
     go test -run='^$' -fuzz='^FuzzParseDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
+    go test -run='^$' -fuzz='^FuzzAppendDouble$' -fuzztime="$FUZZTIME" ./internal/xsdlex
 fi
 echo "check.sh: all green"

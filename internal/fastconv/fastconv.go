@@ -7,7 +7,9 @@
 // Unlike strconv's generic appenders, these writers target a caller-owned
 // region of a template chunk: they write the value at a fixed position,
 // report the bytes used, and can left-pad or right-pad to a field width
-// without allocating.
+// without allocating. Doubles go through xsdlex's own shortest-digit
+// encoder, byte-identical to strconv's shortest 'G' form but without
+// its general-purpose formatting.
 package fastconv
 
 import (
@@ -73,8 +75,8 @@ func WriteLong(dst []byte, v int64) int {
 }
 
 // doubleConverter is the pluggable double→ASCII routine every
-// serializer in the repository funnels through. The default is the
-// strconv-backed shortest form; SetDoubleConverter swaps it, e.g. for
+// serializer in the repository funnels through. The default is
+// xsdlex's shortest-digit leaf codec; SetDoubleConverter swaps it, e.g. for
 // the exact big-integer dragon printer that emulates 2004-era
 // conversion costs. Not safe to swap concurrently with serialization.
 var doubleConverter = defaultDoubleConverter

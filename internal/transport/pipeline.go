@@ -74,8 +74,9 @@ type Pipeline struct {
 	// OnStall, when set, is invoked each time a SendAsync must wait for
 	// in-flight responses because the pipeline is at depth. OnComplete is
 	// invoked exactly once per Pending as it resolves (success, error, or
-	// pipeline failure). Both must be set before the first SendAsync and
-	// must be safe for concurrent use.
+	// pipeline failure), before the Pending's waiter is woken, so a gauge
+	// it decrements has settled when Wait returns. Both must be set before
+	// the first SendAsync and must be safe for concurrent use.
 	OnStall    func()
 	OnComplete func()
 
@@ -282,11 +283,14 @@ func (pl *Pipeline) readLoop() {
 	}
 }
 
+// resolve runs OnComplete before it wakes the Pending's waiter, so
+// whatever OnComplete accounts is settled by the time the waiter sees
+// its result.
 func (pl *Pipeline) resolve(p *Pending, status int, err error) {
-	p.complete(status, err)
 	if pl.OnComplete != nil {
 		pl.OnComplete()
 	}
+	p.complete(status, err)
 }
 
 // drainFail fails every Pending still queued. Taking writeMu first

@@ -49,8 +49,9 @@ func AppendLong(dst []byte, v int64) []byte {
 
 // AppendDouble appends the shortest lexical form of v that parses back to
 // exactly v, using the XSD double style (decimal or exponent notation with
-// an upper-case E). Special values use the XSD lexical names INF, -INF and
-// NaN. The result is at most MaxDoubleWidth bytes.
+// an upper-case E), byte for byte what strconv's shortest 'G' format
+// gives. Special values use the XSD lexical names INF, -INF and NaN. The
+// result is at most MaxDoubleWidth bytes.
 func AppendDouble(dst []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
@@ -60,7 +61,7 @@ func AppendDouble(dst []byte, v float64) []byte {
 	case math.IsNaN(v):
 		return append(dst, "NaN"...)
 	}
-	return strconv.AppendFloat(dst, v, 'G', -1, 64)
+	return appendShortest(dst, v)
 }
 
 // AppendBool appends "true" or "false".
@@ -122,7 +123,9 @@ func ParseLong(s string) (int64, error) {
 }
 
 // ParseDouble parses the lexical form of an xsd:double, accepting
-// surrounding whitespace and the special names INF, -INF and NaN.
+// surrounding whitespace and the special names INF, -INF and NaN. Short
+// plain decimals take an exact fast path; everything else, and every
+// error, is strconv.ParseFloat's.
 func ParseDouble(s string) (float64, error) {
 	s = TrimSpace(s)
 	switch s {
@@ -132,6 +135,9 @@ func ParseDouble(s string) (float64, error) {
 		return math.Inf(-1), nil
 	case "NaN":
 		return math.NaN(), nil
+	}
+	if v, ok := parseExact(s); ok {
+		return v, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
